@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"tracecache/internal/config"
-	"tracecache/internal/program"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
+	"tracecache/internal/workload"
 )
 
 // testRunner uses tiny budgets: these tests verify structure and plumbing,
@@ -209,24 +210,28 @@ func TestExtTCSizeSmoke(t *testing.T) {
 	}
 }
 
-func TestRunConfiguredMemoizes(t *testing.T) {
+// TestStaticPromotionMemoizes: the static-promotion machine is an
+// ordinary resolved configuration, so a repeated RunE shares the memoized
+// run, and it occupies its own slot beside the dynamic promotion machine
+// it is derived from.
+func TestStaticPromotionMemoizes(t *testing.T) {
 	r := testRunner()
-	cfg, prep := StaticPromotionConfig()
-	calls := 0
-	wrapped := func(c *sim.Config, p *program.Program) {
-		calls++
-		prep(c, p)
-	}
-	a, err := r.RunConfiguredE(cfg, "compress", wrapped)
+	prog, err := workload.SharedProgram("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.RunConfiguredE(cfg, "compress", wrapped)
-	if err != nil {
-		t.Fatal(err)
+	a := runT(t, r, StaticPromotionConfig(prog), "compress")
+	b := runT(t, r, StaticPromotionConfig(prog), "compress")
+	if a != b {
+		t.Error("repeated static-promotion request did not share the memoized run")
 	}
-	if a != b || calls != 1 {
-		t.Errorf("memoization failed: calls = %d", calls)
+	dyn := runT(t, r, config.Promotion(config.PromotionThreshold), "compress")
+	if dyn == a {
+		t.Error("static and dynamic promotion share one run")
+	}
+	want := []string{"promo-t64/compress", "static-promo/compress"}
+	if got := r.CachedKeys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("memo keys = %v, want %v", got, want)
 	}
 }
 

@@ -36,19 +36,18 @@ func Extensions() []Experiment {
 
 // StaticPromotionConfig returns the static-promotion machine for one
 // program: the promotion configuration with profile-derived annotations in
-// place of the bias table.
-func StaticPromotionConfig() (sim.Config, func(*sim.Config, *program.Program)) {
+// place of the bias table. It is an ordinary configuration under its own
+// name, so RunE memoizes and stores it like any other.
+func StaticPromotionConfig(prog *program.Program) sim.Config {
 	cfg := config.Promotion(config.PromotionThreshold)
 	cfg.Name = "static-promo"
-	return cfg, func(c *sim.Config, p *program.Program) {
-		c.Fill.StaticPromotions = core.ProfileStaticPromotions(p, core.DefaultStaticProfileConfig())
-	}
+	cfg.Fill.StaticPromotions = core.ProfileStaticPromotions(prog, core.DefaultStaticProfileConfig())
+	return cfg
 }
 
 // ExtStatic compares dynamic promotion against profile-guided static
 // promotion.
 func ExtStatic(r *Runner) (string, error) {
-	staticCfg, prep := StaticPromotionConfig()
 	rows := make([][]string, 0, 16)
 	var dSum, sSum, bSum float64
 	for _, bench := range workload.Names() {
@@ -60,7 +59,11 @@ func ExtStatic(r *Runner) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		st, err := r.RunConfiguredE(staticCfg, bench, prep)
+		prog, err := workload.SharedProgram(bench)
+		if err != nil {
+			return "", err
+		}
+		st, err := r.RunE(StaticPromotionConfig(prog), bench)
 		if err != nil {
 			return "", err
 		}

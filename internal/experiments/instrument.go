@@ -34,11 +34,12 @@ func (p RunPhase) String() string {
 }
 
 // RunEvent is one run-lifecycle notification delivered to Runner.OnRun.
-// Every RunE/RunConfiguredE resolution produces exactly one RunDone event:
-// the executing request emits it with the simulation's provenance
-// (stats.ProvCold or stats.ProvCheckpointFork), and every memo-sharing
-// request emits one with Memoized set and stats.ProvMemoized — so journal
-// records and progress trackers built on these events tie out against the
+// Every RunE/RunSampledE resolution produces exactly one RunDone event:
+// the executing request emits it with the provenance of the tier that
+// resolved it (stats.ProvStore, stats.ProvReplay, stats.ProvCheckpointFork,
+// stats.ProvCold, or stats.ProvSampled), and every memo-sharing request
+// emits one with Memoized set and stats.ProvMemoized — so journal records
+// and progress trackers built on these events tie out against the
 // runner's counters.
 type RunEvent struct {
 	Phase                  RunPhase
@@ -112,6 +113,22 @@ type RunnerMetrics struct {
 	// Sim carries the shared simulator counters (committed instructions,
 	// cycles); the runner attaches it to every simulator it builds.
 	Sim *sim.Metrics
+}
+
+// byProvenance returns the counter of the partition a completed run of
+// the given provenance belongs to.
+func (m *RunnerMetrics) byProvenance(provenance string) *metrics.Counter {
+	switch provenance {
+	case stats.ProvCheckpointFork:
+		return m.CheckpointForks
+	case stats.ProvReplay:
+		return m.Replays
+	case stats.ProvSampled:
+		return m.SampledRuns
+	case stats.ProvStore:
+		return m.StoreServed
+	}
+	return m.ColdStarts
 }
 
 // InstrumentRunner registers the runner counter set in the registry.

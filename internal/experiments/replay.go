@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 // traceEntry is one per-benchmark recording slot, singleflight like
 // runEntry: the first request for a benchmark resolves it (loading a
 // persisted stream or recording during its own detailed run); done closes
-// once data/coreHash/err are final, and they are immutable afterwards.
+// once hdr/recs/coreHash/err are final, and they are immutable afterwards.
 type traceEntry struct {
 	done chan struct{}
 	// hdr/recs are the decoded retired stream (recs nil when resolution
@@ -101,21 +102,65 @@ func (r *Runner) saveTrace(key string, data []byte, h trace.Header) {
 	}
 }
 
-// replayTrace replays a decoded stream under cfg and returns the
-// front-end statistics (stats.ProvReplay provenance, cycle-domain
-// statistics zero; see DESIGN.md §9). Replay never mutates recs, so
-// concurrent sweep points share one decoded slice.
-func replayTrace(cfg sim.Config, prog *program.Program, h trace.Header, recs []trace.Rec) (*stats.Run, error) {
-	rp, err := sim.NewReplayer(cfg, prog)
+// replay is the front-end replay tier. The benchmark's first request
+// resolves the shared recording slot, loading a persisted stream from
+// TraceDir when one exists; every request front-end-equivalent to the
+// recording (matching CoreHash) then replays it. When q is the first
+// request and nothing was persisted, it returns the slot for q's own
+// detailed run to record into instead; a nil run and slot mean q is not
+// replay-eligible and simulates detailed.
+func (r *Runner) replay(q request, prog *program.Program) (*stats.Run, *traceEntry, error) {
+	te, creator := r.traceEntryFor(q.bench)
+	if creator {
+		h, recs, ok := r.loadTrace(q.cfg, prog)
+		if !ok {
+			return nil, te, nil
+		}
+		te.hdr, te.recs, te.coreHash = h, recs, h.CoreHash
+		close(te.done)
+	}
+	<-te.done
+	if te.err != nil || len(te.recs) == 0 || te.coreHash != q.cfg.CoreHash() {
+		return nil, nil, nil
+	}
+	// Replay never mutates recs, so concurrent sweep points share one
+	// decoded slice. The run carries stats.ProvReplay provenance and zero
+	// cycle-domain statistics (DESIGN.md §9).
+	r.logf("replaying %s...\n", q.key)
+	rp, err := sim.NewReplayer(q.cfg, prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	run, err := rp.ReplayRecords(te.hdr, te.recs)
+	return run, nil, err
+}
+
+// record attaches a commit-tap recorder to the benchmark's first detailed
+// run. The returned finish, called once that run succeeds, decodes the
+// stream into te (once per benchmark: every replay-eligible point indexes
+// the shared slice) and persists it under TraceDir. A recording failure
+// leaves te failed, so waiters fall back to detailed simulation; it never
+// fails the run itself.
+func (r *Runner) record(q request, s *sim.Simulator, te *traceEntry) (finish func(), err error) {
+	var buf bytes.Buffer
+	hdr := s.TraceHeader("commit-tap")
+	w, err := trace.NewWriter(&buf, hdr)
 	if err != nil {
 		return nil, err
 	}
-	return rp.ReplayRecords(h, recs)
-}
-
-// errRecordingIncomplete marks a trace entry whose recording run exited
-// without finishing the stream (failed simulation, panic); waiters fall
-// back to detailed simulation.
-func errRecordingIncomplete(key string) error {
-	return fmt.Errorf("experiments: %s: recording run did not complete", key)
+	s.AttachRecorder(w)
+	return func() {
+		err := w.Close()
+		var h trace.Header
+		var recs []trace.Rec
+		if err == nil {
+			h, recs, err = trace.ReadAll(buf.Bytes())
+		}
+		if err != nil {
+			te.err = fmt.Errorf("experiments: %s: recording: %w", q.key, err)
+			return
+		}
+		te.hdr, te.recs, te.coreHash, te.err = h, recs, q.cfg.CoreHash(), nil
+		r.saveTrace(q.key, buf.Bytes(), hdr)
+	}, nil
 }

@@ -23,7 +23,6 @@
 package experiments
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,9 +34,9 @@ import (
 	"tracecache/internal/obs"
 	"tracecache/internal/program"
 	"tracecache/internal/resultstore"
+	"tracecache/internal/sampling"
 	"tracecache/internal/sim"
 	"tracecache/internal/stats"
-	"tracecache/internal/trace"
 	"tracecache/internal/workload"
 )
 
@@ -134,16 +133,11 @@ type Runner struct {
 	traces map[string]*traceEntry // per-benchmark recordings (Replay)
 }
 
-// runEntry is one singleflight memoization slot: done closes once run/err
-// are final, and they are immutable afterwards.
+// runEntry is one singleflight memoization slot: done closes once the
+// result is final, and it is immutable afterwards.
 type runEntry struct {
 	done chan struct{}
-	run  *stats.Run
-	// sampled is set only on sampled-path entries (RunSampledE), whose
-	// keys carry the sampling schedule; run then holds the pooled window
-	// counters.
-	sampled *stats.Sampled
-	err     error
+	result
 }
 
 // NewRunner builds a runner with the given instruction budgets.
@@ -213,108 +207,122 @@ func (r *Runner) ShortBenchmarks() []string {
 // configuration name. Concurrent calls with the same key share one
 // simulation.
 func (r *Runner) RunE(cfg sim.Config, bench string) (*stats.Run, error) {
-	return r.shared(cfg, bench, nil)
-}
-
-// RunConfiguredE is RunE with a per-benchmark configuration hook applied
-// before simulation; static promotion uses it because its annotations
-// depend on the program. Memoization keys on the configuration name, so
-// the hook runs at most once per key.
-func (r *Runner) RunConfiguredE(cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (*stats.Run, error) {
-	return r.shared(cfg, bench, prep)
-}
-
-// shared is the singleflight core: at most one goroutine simulates a key;
-// the rest wait for its entry and share the result. The executing request
-// emits RunQueued/RunStarted/RunDone with the simulation's provenance;
-// every sharing request emits one memoized RunDone after the result is
-// final, carrying the identical *stats.Run.
-func (r *Runner) shared(cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (*stats.Run, error) {
-	key := cfg.Name + "/" + bench
-	r.mu.Lock()
-	if e, ok := r.runs[key]; ok {
-		r.mu.Unlock()
-		if m := r.Metrics; m != nil {
-			m.MemoHits.Inc()
-		}
-		<-e.done
-		r.emit(RunEvent{
-			Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
-			Run: e.run, Err: e.err,
-			Memoized: true, Provenance: stats.ProvMemoized,
-		})
-		return e.run, e.err
-	}
-	e := &runEntry{done: make(chan struct{})}
-	r.runs[key] = e
-	r.mu.Unlock()
-
-	if m := r.Metrics; m != nil {
-		m.MemoMisses.Inc()
-	}
-	r.emit(RunEvent{Phase: RunQueued, Key: key, Config: cfg.Name, Benchmark: bench})
-	res := r.simulate(key, cfg, bench, prep)
-	e.run, e.err = res.run, res.err
-	if m := r.Metrics; m != nil {
-		if res.err != nil {
-			m.RunsFailed.Inc()
-		} else {
-			m.RunsCompleted.Inc()
-			switch res.provenance {
-			case stats.ProvCheckpointFork:
-				m.CheckpointForks.Inc()
-			case stats.ProvReplay:
-				m.Replays.Inc()
-			case stats.ProvStore:
-				m.StoreServed.Inc()
-			default:
-				m.ColdStarts.Inc()
-			}
-		}
-	}
-	r.emit(RunEvent{
-		Phase: RunDone, Key: key, Config: cfg.Name, Benchmark: bench,
-		Run: res.run, Err: res.err,
-		Provenance: res.provenance,
-		QueueWait:  res.queueWait, Wall: res.wall,
-	})
-	close(e.done)
+	q := r.request(&cfg, bench, false)
+	e := r.resolve(&q)
 	return e.run, e.err
 }
 
-// simResult carries one simulation's outcome plus the request-level
-// provenance and timing that counters, events, and journal records need.
-type simResult struct {
+// request is one run request resolved once against the runner: cfg
+// carries the runner's budgets, sampling schedule, and Check (exactly the
+// configuration the simulator runs and the store keys on), and key is the
+// memo label name/bench, suffixed with the schedule for sampled requests.
+type request struct {
+	key     string
+	cfg     sim.Config
+	bench   string
+	sampled bool
+}
+
+// request resolves a call's arguments. It is built on every call, memo
+// hits included, so it copies cfg once and computes no hash.
+func (r *Runner) request(cfg *sim.Config, bench string, sampled bool) (q request) {
+	q.cfg, q.bench, q.sampled = *cfg, bench, sampled
+	q.cfg.WarmupInsts = r.Warmup
+	q.cfg.MaxInsts = r.Budget
+	q.cfg.FastForwardInsts = r.FastForward
+	q.cfg.Check = r.Check
+	q.key = cfg.Name + "/" + bench
+	if sampled {
+		// The schedule is part of the key for the same reason it is part of
+		// Config.Hash: a sampled result is an estimate parameterized by its
+		// schedule, never the same number as a detailed run.
+		p := r.Sampling
+		q.cfg.WarmupInsts = 0 // each window carries its own warmup
+		q.cfg.Sampling = p
+		q.key += fmt.Sprintf("#sampled-w%d-p%d-u%d-s%d", p.WindowInsts, p.PeriodInsts, p.WarmupInsts, p.Seed)
+	}
+	return q
+}
+
+// result is one request's outcome: the run (for a sampled request, its
+// pooled window counters), the sampled aggregate of a sampled request,
+// the provenance of the tier that produced it, and the request-level
+// timing that counters, events, and journal records need.
+type result struct {
 	run        *stats.Run
+	sampled    *stats.Sampled
 	err        error
 	provenance string
 	queueWait  time.Duration
 	wall       time.Duration
 }
 
-// simulate executes one simulation under a worker slot, converting panics
+// resolve is the singleflight core: at most one goroutine executes a key;
+// the rest wait for its entry and share the result. The executing request
+// emits RunQueued/RunStarted/RunDone with its tier's provenance; every
+// sharing request emits one memoized RunDone after the result is final,
+// carrying the identical *stats.Run.
+func (r *Runner) resolve(q *request) *runEntry {
+	r.mu.Lock()
+	if e, ok := r.runs[q.key]; ok {
+		r.mu.Unlock()
+		if m := r.Metrics; m != nil {
+			m.MemoHits.Inc()
+		}
+		<-e.done
+		r.emit(RunEvent{
+			Phase: RunDone, Key: q.key, Config: q.cfg.Name, Benchmark: q.bench,
+			Run: e.run, Err: e.err,
+			Memoized: true, Provenance: stats.ProvMemoized,
+		})
+		return e
+	}
+	e := &runEntry{done: make(chan struct{})}
+	r.runs[q.key] = e
+	r.mu.Unlock()
+
+	if m := r.Metrics; m != nil {
+		m.MemoMisses.Inc()
+	}
+	r.emit(RunEvent{Phase: RunQueued, Key: q.key, Config: q.cfg.Name, Benchmark: q.bench})
+	e.result = r.execute(*q)
+	if m := r.Metrics; m != nil {
+		if e.err != nil {
+			m.RunsFailed.Inc()
+		} else {
+			m.RunsCompleted.Inc()
+			m.byProvenance(e.provenance).Inc()
+		}
+	}
+	r.emit(RunEvent{
+		Phase: RunDone, Key: q.key, Config: q.cfg.Name, Benchmark: q.bench,
+		Run: e.run, Err: e.err,
+		Provenance: e.provenance,
+		QueueWait:  e.queueWait, Wall: e.wall,
+	})
+	close(e.done)
+	return e
+}
+
+// execute resolves one request under a worker slot, converting panics
 // from configuration or simulator internals into errors so a bad config in
-// a parallel sweep fails that sweep instead of the process.
-func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*sim.Config, *program.Program)) (res simResult) {
+// a parallel sweep fails that sweep instead of the process. The tiers are
+// tried in order: store, replay, then a detailed (checkpoint fork or
+// cold) or sampled simulation.
+func (r *Runner) execute(q request) (res result) {
 	// Registered before the recover defer, so it runs after it (LIFO) and
 	// observes the final result — including panics converted to errors,
 	// which it must not persist.
-	defer func() {
-		r.storePut(cfg, bench, res.provenance, res.run, nil)
-	}()
+	defer func() { r.storePut(q, res) }()
 	defer func() {
 		if p := recover(); p != nil {
-			res = simResult{err: fmt.Errorf("experiments: %s: panic: %v", key, p),
+			res = result{err: fmt.Errorf("experiments: %s: panic: %v", q.key, p),
 				queueWait: res.queueWait, wall: res.wall}
 		}
 	}()
-	fail := func(err error) simResult {
-		return simResult{err: fmt.Errorf("experiments: %s: %w", key, err),
-			queueWait: res.queueWait, wall: res.wall}
-	}
-	prog, err := workload.SharedProgram(bench)
+	prog, err := workload.SharedProgram(q.bench)
 	if err != nil {
-		return fail(err)
+		return result{err: fmt.Errorf("experiments: %s: %w", q.key, err)}
 	}
 	//tcvet:ignore determinism wall-clock telemetry only: queue-wait measurement start, never simulated state
 	queuedAt := time.Now()
@@ -327,7 +335,7 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 		m.WorkersBusy.Add(1)
 		m.QueueWait.Observe(res.queueWait.Seconds())
 	}
-	r.emit(RunEvent{Phase: RunStarted, Key: key, Config: cfg.Name, Benchmark: bench,
+	r.emit(RunEvent{Phase: RunStarted, Key: q.key, Config: q.cfg.Name, Benchmark: q.bench,
 		QueueWait: res.queueWait})
 	//tcvet:ignore determinism wall-clock telemetry only: run-wall measurement start, never simulated state
 	startedAt := time.Now()
@@ -339,73 +347,51 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 			m.RunWall.Observe(res.wall.Seconds())
 		}
 	}()
-	if prep != nil {
-		prep(&cfg, prog)
-	}
-	cfg.WarmupInsts = r.Warmup
-	cfg.MaxInsts = r.Budget
-	cfg.FastForwardInsts = r.FastForward
-	cfg.Check = r.Check
-
-	// Persistent-store fast path: a prior process (or job) that simulated
-	// this exact point — same full configuration hash, benchmark, and
-	// fidelity mode — left its result on disk; serve it verbatim. Checked
-	// runs must actually simulate, so Check bypasses the store.
-	if r.Store != nil && !r.Check {
-		modes := []string{resultstore.ModeDetailed}
-		if r.Replay {
-			// A replay-mode request accepts either fidelity class it could
-			// itself have produced: a replayed point or the detailed run
-			// that recorded the stream.
-			modes = []string{resultstore.ModeReplay, resultstore.ModeDetailed}
-		}
-		if e := r.storeGet(cfg, bench, modes); e != nil {
-			res.run = e.Run
-			res.provenance = stats.ProvStore
-			return res
-		}
-	}
-
-	// Replay fast path: the benchmark's first request resolves the shared
-	// recording (from TraceDir or by recording during its own detailed
-	// run); every front-end-equivalent point after that replays it.
-	var rec *traceEntry
-	if r.Replay && !r.Check {
-		te, creator := r.traceEntryFor(bench)
-		if creator {
-			if h, recs, ok := r.loadTrace(cfg, prog); ok {
-				te.hdr, te.recs, te.coreHash = h, recs, h.CoreHash
-				close(te.done)
-			} else {
-				rec = te
-				defer func() {
-					// Backstop for error and panic exits: resolve the entry
-					// so waiters fall back to detailed simulation.
-					if rec != nil {
-						rec.err = errRecordingIncomplete(key)
-						close(rec.done)
-						rec = nil
-					}
-				}()
-			}
-		} else {
-			<-te.done
-		}
-		if rec == nil && te.err == nil && len(te.recs) > 0 && te.coreHash == cfg.CoreHash() {
-			r.logf("replaying %s...\n", key)
-			run, err := replayTrace(cfg, prog, te.hdr, te.recs)
-			if err != nil {
-				return fail(err)
-			}
-			res.run = run
-			res.provenance = stats.ProvReplay
-			return res
-		}
-	}
-
-	s, err := sim.New(cfg, prog)
+	out, err := r.tiers(q, prog)
 	if err != nil {
-		return fail(err)
+		out = result{err: fmt.Errorf("experiments: %s: %w", q.key, err)}
+	}
+	out.queueWait = res.queueWait
+	return out
+}
+
+// tiers returns the first answer of the request's tiers: the store, then
+// replay (detailed requests of a Replay runner; Check bypasses it), then
+// simulate.
+func (r *Runner) tiers(q request, prog *program.Program) (result, error) {
+	if res, ok := r.fromStore(q); ok {
+		return res, nil
+	}
+	var rec *traceEntry
+	if r.Replay && !q.sampled && !r.Check {
+		run, te, err := r.replay(q, prog)
+		if run != nil || err != nil {
+			return result{run: run, provenance: stats.ProvReplay}, err
+		}
+		if rec = te; rec != nil {
+			// Resolved on every exit, panics included: waiters see the
+			// stream only if this run completes it, else they fall back
+			// to detailed simulation.
+			rec.err = fmt.Errorf("experiments: %s: recording run did not complete", q.key)
+			defer close(rec.done)
+		}
+	}
+	return r.simulate(q, prog, rec)
+}
+
+// simulate is the detailed and sampled tier. It builds the request's
+// simulator and restores the benchmark's shared checkpoint when the runner
+// fast-forwards — the capture is memoized process-wide, so the first
+// arrival captures under its worker slot and later arrivals restore a
+// cheap copy. A run recording into rec skips the restore: the stream must
+// start at the program entry, so it fast-forwards functionally under the
+// tap and stays cold. A sampled request runs the sampling driver and
+// fails on any sampling-audit violation; every run fails on a self-check
+// violation.
+func (r *Runner) simulate(q request, prog *program.Program, rec *traceEntry) (result, error) {
+	s, err := sim.New(q.cfg, prog)
+	if err != nil {
+		return result{}, err
 	}
 	if m := r.Metrics; m != nil {
 		s.AttachMetrics(m.Sim)
@@ -415,80 +401,93 @@ func (r *Runner) simulate(key string, cfg sim.Config, bench string, prep func(*s
 			s.AttachObserver(bus)
 		}
 	}
-	var recBuf bytes.Buffer
-	var recW *trace.Writer
-	var recHdr trace.Header
+	var finish func()
 	if rec != nil {
-		recHdr = s.TraceHeader("commit-tap")
-		w, err := trace.NewWriter(&recBuf, recHdr)
-		if err != nil {
-			return fail(err)
+		if finish, err = r.record(q, s, rec); err != nil {
+			return result{}, err
 		}
-		recW = w
-		s.AttachRecorder(recW)
 	}
-	res.provenance = stats.ProvCold
-	if r.FastForward > 0 && recW == nil {
-		// The capture itself is memoized process-wide; the first arrival
-		// captures (under its worker slot), later arrivals block on the
-		// OnceValues and then restore, which is a cheap copy.
-		// A recording run skips the restore: the stream must start at the
-		// program entry, so it fast-forwards functionally under the tap
-		// (cfg.FastForwardInsts is set) and its provenance stays cold.
-		cp, err := workload.SharedCheckpoint(bench, r.FastForward)
+	forked := q.cfg.FastForwardInsts > 0 && rec == nil
+	if forked {
+		cp, err := workload.SharedCheckpoint(q.bench, q.cfg.FastForwardInsts)
 		if err != nil {
-			return fail(err)
+			return result{}, err
 		}
 		if err := s.ApplyCheckpoint(cp); err != nil {
-			return fail(err)
+			return result{}, err
 		}
+	}
+	if q.sampled {
+		r.logf("sampling %s...\n", q.key)
+		out, err := sampling.Run(s)
+		if err == nil {
+			err = checkViolations(s)
+		}
+		if err != nil {
+			return result{}, err
+		}
+		if len(out.Violations) > 0 {
+			return result{}, fmt.Errorf("sampling audit: %d violation(s), first: %s",
+				len(out.Violations), out.Violations[0].Detail)
+		}
+		if forked && out.Sampled.Meta != nil {
+			// Meta is shared between the aggregate and the pooled run.
+			out.Sampled.Meta.CheckpointShared = true
+		}
+		return result{run: out.Run, sampled: out.Sampled, provenance: stats.ProvSampled}, nil
+	}
+	r.logf("running %s...\n", q.key)
+	res := result{run: s.Run(), provenance: stats.ProvCold}
+	if forked {
 		res.provenance = stats.ProvCheckpointFork
 	}
-	r.logf("running %s...\n", key)
-	res.run = s.Run()
+	if err := checkViolations(s); err != nil {
+		return result{}, err
+	}
+	if finish != nil {
+		finish()
+	}
+	return res, nil
+}
+
+// checkViolations fails a run whose self-verification layer reported
+// violations.
+func checkViolations(s *sim.Simulator) error {
 	if chk := s.Checker(); chk != nil && chk.Total() > 0 {
-		res.run = nil
-		return fail(fmt.Errorf("%s", chk.Report()))
+		return fmt.Errorf("%s", chk.Report())
 	}
-	if recW != nil {
-		if err := recW.Close(); err != nil {
-			rec.err = fmt.Errorf("experiments: %s: recording: %w", key, err)
-		} else if h, recs, err := trace.ReadAll(recBuf.Bytes()); err != nil {
-			rec.err = fmt.Errorf("experiments: %s: recording: %w", key, err)
-		} else {
-			rec.hdr, rec.recs = h, recs
-			rec.coreHash = cfg.CoreHash()
-			r.saveTrace(key, recBuf.Bytes(), recHdr)
-		}
-		close(rec.done)
-		rec = nil
-	}
-	return res
+	return nil
 }
 
 // SweepE runs the configuration over every benchmark, fanning the runs
 // across the worker pool, and returns them in paper order. The first error
 // (in paper order) is returned with a nil slice.
 func (r *Runner) SweepE(cfg sim.Config) ([]*stats.Run, error) {
+	return sweep(r, cfg, r.RunE)
+}
+
+// sweep resolves run(cfg, bench) for every benchmark in paper order,
+// fanned across the worker pool (strictly sequential with Workers == 1,
+// stopping at the first error). The first error in paper order is
+// returned with a nil slice.
+func sweep[T any](r *Runner, cfg sim.Config, run func(sim.Config, string) (T, error)) ([]T, error) {
 	names := workload.Names()
-	out := make([]*stats.Run, len(names))
+	out := make([]T, len(names))
+	errs := make([]error, len(names))
 	if r.workers() <= 1 {
 		for i, b := range names {
-			run, err := r.RunE(cfg, b)
-			if err != nil {
-				return nil, err
+			if out[i], errs[i] = run(cfg, b); errs[i] != nil {
+				return nil, errs[i]
 			}
-			out[i] = run
 		}
 		return out, nil
 	}
-	errs := make([]error, len(names))
 	var wg sync.WaitGroup
 	for i, b := range names {
 		wg.Add(1)
 		go func(i int, b string) {
 			defer wg.Done()
-			out[i], errs[i] = r.RunE(cfg, b)
+			out[i], errs[i] = run(cfg, b)
 		}(i, b)
 	}
 	wg.Wait()

@@ -113,7 +113,7 @@ func TestRunSampledMetricsAndEvents(t *testing.T) {
 		t.Fatalf("SampledRuns = %d, want 1", got)
 	}
 	if m.RunsCompleted.Value() != m.CheckpointForks.Value()+m.ColdStarts.Value()+
-		m.Replays.Value()+m.SampledRuns.Value() {
+		m.Replays.Value()+m.SampledRuns.Value()+m.StoreServed.Value() {
 		t.Fatal("provenance counters do not partition RunsCompleted")
 	}
 	if m.MemoHits.Value() != 1 || m.MemoMisses.Value() != 1 {

@@ -2,33 +2,47 @@ package experiments
 
 import (
 	"tracecache/internal/resultstore"
-	"tracecache/internal/sim"
 	"tracecache/internal/stats"
 )
 
 // storeKey addresses one point in the persistent store: the full
-// configuration hash (cfg must carry its final budgets — WarmupInsts,
-// MaxInsts, FastForwardInsts, Sampling — when called, matching what
-// stats.Meta.ConfigHash records), the benchmark, and the fidelity mode.
-func storeKey(cfg sim.Config, bench, mode string) resultstore.Key {
-	return resultstore.Key{ConfigHash: cfg.Hash(), Benchmark: bench, Mode: mode}
+// configuration hash of the resolved request (final budgets and schedule
+// included, matching what stats.Meta.ConfigHash records), the benchmark,
+// and the fidelity mode.
+func storeKey(q request, mode string) resultstore.Key {
+	return resultstore.Key{ConfigHash: q.cfg.Hash(), Benchmark: q.bench, Mode: mode}
 }
 
-// storeGet looks the point up under each acceptable mode in preference
-// order and returns the first usable entry, or nil on miss. Store
-// corruption is logged and treated as a miss — the point re-simulates.
-func (r *Runner) storeGet(cfg sim.Config, bench string, modes []string) *resultstore.Entry {
+// fromStore is the persistent-store tier: a prior process (or job) that
+// resolved this exact point left its result on disk, and it is served
+// verbatim. Mode matching is fidelity-preserving (DESIGN.md §11): a
+// detailed request accepts only a detailed entry, a Replay-mode request
+// also a replay entry (either class it could itself have produced), and a
+// sampled request only a sampled one. Checked runs must actually simulate,
+// so Check bypasses the store. Store corruption is logged and treated as a
+// miss — the point re-simulates.
+func (r *Runner) fromStore(q request) (result, bool) {
+	if r.Store == nil || r.Check {
+		return result{}, false
+	}
+	modes := []string{resultstore.ModeDetailed}
+	switch {
+	case q.sampled:
+		modes = []string{resultstore.ModeSampled}
+	case r.Replay:
+		modes = []string{resultstore.ModeReplay, resultstore.ModeDetailed}
+	}
 	for _, mode := range modes {
-		e, err := r.Store.Get(storeKey(cfg, bench, mode))
+		e, err := r.Store.Get(storeKey(q, mode))
 		if err != nil {
 			r.logf("result store: %v\n", err)
 			continue
 		}
-		if e != nil && e.Run != nil {
-			return e
+		if e != nil && e.Run != nil && (e.Sampled != nil || !q.sampled) {
+			return result{run: e.Run, sampled: e.Sampled, provenance: stats.ProvStore}, true
 		}
 	}
-	return nil
+	return result{}, false
 }
 
 // storeModeOf maps a run's provenance to its store fidelity mode.
@@ -51,15 +65,15 @@ func storeModeOf(provenance string) string {
 // purpose is to distrust cached numbers, so they neither read nor seed
 // the store). Persistence errors are logged, never fatal: the store is a
 // cache, and losing a put only costs a future re-simulation.
-func (r *Runner) storePut(cfg sim.Config, bench, provenance string, run *stats.Run, sampled *stats.Sampled) {
-	if r.Store == nil || r.Check || run == nil || provenance == stats.ProvStore {
+func (r *Runner) storePut(q request, res result) {
+	if r.Store == nil || r.Check || res.run == nil || res.provenance == stats.ProvStore {
 		return
 	}
 	e := &resultstore.Entry{
-		Key:     storeKey(cfg, bench, storeModeOf(provenance)),
-		Config:  cfg.Name,
-		Run:     run,
-		Sampled: sampled,
+		Key:     storeKey(q, storeModeOf(res.provenance)),
+		Config:  q.cfg.Name,
+		Run:     res.run,
+		Sampled: res.sampled,
 	}
 	if err := r.Store.Put(e); err != nil {
 		r.logf("result store: %v\n", err)

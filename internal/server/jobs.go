@@ -213,6 +213,11 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	hash := spec.hash()
 
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		return
+	}
 	if j, ok := s.bySpec[hash]; ok {
 		j.mu.Lock()
 		j.coalesced++
@@ -222,26 +227,14 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.status(len(pts)))
 		return
 	}
-	s.mu.Unlock()
-
-	// New work: charge the client's bucket before committing to it.
+	// New work: charge the client's bucket before committing to it. The
+	// bucket is consulted under s.mu, so no identical submission or Close
+	// can intervene between the checks above and admission.
 	if ok, retryAfter := s.quotas.allow(clientKey(r)); !ok {
+		s.mu.Unlock()
 		s.met.QuotaRejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		writeError(w, http.StatusTooManyRequests, "quota exceeded, retry in %ds", retryAfter)
-		return
-	}
-
-	s.mu.Lock()
-	// Re-check under the lock: a racing identical submission may have
-	// created the job while the quota was consulted.
-	if j, ok := s.bySpec[hash]; ok {
-		j.mu.Lock()
-		j.coalesced++
-		j.mu.Unlock()
-		s.mu.Unlock()
-		s.met.JobsCoalesced.Inc()
-		writeJSON(w, http.StatusOK, j.status(len(pts)))
 		return
 	}
 	s.seq++
@@ -257,6 +250,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.ID] = j
 	s.bySpec[hash] = j
 	s.order = append(s.order, j.ID)
+	s.running.Add(1) // under s.mu: Close sets closed under it before Wait
 	s.mu.Unlock()
 	s.met.JobsSubmitted.Inc()
 	s.logf("job %s: %d points (%s)", j.ID, len(pts), summarizeSpec(&spec))
@@ -278,6 +272,7 @@ func (s *Server) workers() int {
 // a process-lifetime memo, so restarted daemons and long-lived ones
 // behave identically.
 func (s *Server) runJob(j *Job, pts []point, params sim.SamplingParams) {
+	defer s.running.Done()
 	defer close(j.finished)
 	s.jobSem <- struct{}{}
 	defer func() { <-s.jobSem }()

@@ -85,8 +85,12 @@ type Server struct {
 	httpSrv   *http.Server
 	done      chan struct{}
 	closeOnce sync.Once
+	// running counts accepted jobs whose goroutine has not returned; Close
+	// waits on it so no job outlives the server.
+	running sync.WaitGroup
 
 	mu     sync.Mutex
+	closed bool // set by Close under mu: no new job is admitted after it
 	seq    int
 	jobs   map[string]*Job
 	bySpec map[string]*Job // live (non-failed) job per spec hash, for coalescing
@@ -196,18 +200,23 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the server: the shutdown signal ends in-flight SSE streams
-// promptly, open connections close, and the journal closes (in-flight
-// job appends discard safely afterwards). Running jobs finish in the
-// background; their store puts still land, so their work is not lost.
+// Close stops the server: admission stops (a later submission gets 503),
+// the shutdown signal ends in-flight SSE streams promptly, and open
+// connections close. Accepted jobs then drain: Close returns only once
+// every job is terminal, so its store puts and journal appends have all
+// landed before the journal closes and nothing writes afterwards.
 // Idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
+		s.mu.Lock()
+		s.closed = true
+		s.mu.Unlock()
 		close(s.done)
 		if s.httpSrv != nil {
 			err = s.httpSrv.Close()
 		}
+		s.running.Wait()
 		if jerr := s.jrnl.Close(); err == nil {
 			err = jerr
 		}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -271,6 +273,76 @@ func TestQuota(t *testing.T) {
 	if _, code := submit(t, ts, specs[2]); code != http.StatusCreated {
 		t.Errorf("post-refill submit = %d, want 201", code)
 	}
+}
+
+// TestCloseDrainsInFlightJobs holds the job gate so a job is in flight
+// when Close is called: Close must stop admission at once, return only
+// after the job is terminal, and leave nothing writing to the store.
+func TestCloseDrainsInFlightJobs(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, dir, func(o *Options) {
+		o.MaxConcurrentJobs = 1
+		o.JournalPath = filepath.Join(t.TempDir(), "journal.jsonl")
+	})
+	s.jobSem <- struct{}{}
+	st, code := submit(t, ts, smallSpec())
+	if code != http.StatusCreated {
+		t.Fatalf("submit = %d, want 201", code)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job was in flight")
+	case <-time.After(200 * time.Millisecond):
+	}
+	if _, code := submit(t, ts, smallSpec("go", "li")); code != http.StatusServiceUnavailable {
+		t.Errorf("submit during Close = %d, want 503", code)
+	}
+
+	<-s.jobSem
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Close did not return after the job could finish")
+	}
+	j := s.jobs[st.ID]
+	select {
+	case <-j.finished:
+	default:
+		t.Fatal("Close returned before the in-flight job was terminal")
+	}
+	if state := j.stateNow(); state != JobDone {
+		t.Errorf("drained job state = %q, want %q", state, JobDone)
+	}
+	before := storeFiles(t, dir)
+	if len(before) != 4 {
+		t.Errorf("store holds %d files after the drained 4-point job, want 4: %v", len(before), before)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if after := storeFiles(t, dir); strings.Join(after, ",") != strings.Join(before, ",") {
+		t.Errorf("store changed after Close returned:\nbefore %v\nafter  %v", before, after)
+	}
+	if _, code := submit(t, ts, smallSpec("go", "li")); code != http.StatusServiceUnavailable {
+		t.Errorf("submit after Close = %d, want 503", code)
+	}
+}
+
+// storeFiles lists the store directory's file names, sorted.
+func storeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(ents))
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
 }
 
 func TestBadRequests(t *testing.T) {

@@ -67,13 +67,16 @@ type Meta struct {
 	// from a shared architectural checkpoint (no per-configuration warming
 	// during the prefix) rather than stepped by this simulator.
 	CheckpointShared bool `json:"checkpointShared,omitempty"`
-	// Provenance records how the result was produced: ProvCold (simulated
-	// from scratch by this process), ProvCheckpointFork (fast-forward
-	// prefix restored from a shared architectural checkpoint), or — on
-	// journal records whose result was shared from a runner's memo rather
-	// than simulated for that request — ProvMemoized. The simulator only
-	// ever writes the first two; the value is a pure function of the run
-	// mode, so serialized summaries stay deterministic.
+	// Provenance records how the result was produced. On a run it is set
+	// by the engine that produced it: ProvCold (simulated from scratch),
+	// ProvCheckpointFork (fast-forward prefix restored from a shared
+	// architectural checkpoint), ProvReplay (front-end replay of a
+	// recorded stream), or ProvSampled (statistical sampling). Journal
+	// records and runner events also carry the request-level values:
+	// ProvStore (served verbatim from the result store; the served run's
+	// own Meta keeps the provenance it was produced with) and ProvMemoized
+	// (shared from a runner's memo). The value is a pure function of the
+	// run mode, so serialized summaries stay deterministic.
 	Provenance string `json:"provenance,omitempty"`
 	// WallMillis is the simulation wall time in milliseconds.
 	WallMillis float64 `json:"wallMillis"`

@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, a race pass over the observability layer, the simulator, and the
-# parallel sweep engine, a fast-forward smoke+accuracy step, a tcserve
-# sweep-service smoke (restart + store-served resubmission), and a
-# benchmark smoke step so the perf harness stays runnable.
+# parallel sweep engine, a repeated tcserve shutdown test, a fast-forward
+# smoke+accuracy step, a tcserve sweep-service smoke (restart +
+# store-served resubmission), and a benchmark smoke step so the perf
+# harness stays runnable.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,9 +29,12 @@ go test -race ./internal/obs/... ./internal/sim/... \
 	./internal/metrics/... ./internal/monitor/... ./internal/journal/... \
 	./internal/resultstore/... ./internal/server/... ./internal/atomicfile/...
 
-echo "== go test -race (sweep engine: worker pool + singleflight + program cache) =="
-go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward' \
+echo "== go test -race (sweep engine: worker pool + singleflight + program cache + every pipeline tier) =="
+go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|Sampled|Store|Replay|Pipeline' \
 	./internal/experiments/ ./internal/workload/
+
+echo "== tcserve shutdown (Close drains in-flight jobs; guards the TestQuota TempDir flake) =="
+go test -count=20 -run 'TestQuota|TestCloseDrainsInFlightJobs' ./internal/server/
 
 echo "== fast-forward smoke (checkpoint-shared sweep) =="
 go run ./cmd/tcbench -exp fig4 -ffwd 100000 -warmup 20000 -insts 40000 -j 1 >/dev/null
