@@ -20,6 +20,7 @@ import (
 
 	"tracecache"
 	"tracecache/internal/buildinfo"
+	"tracecache/internal/check"
 	"tracecache/internal/core"
 	"tracecache/internal/journal"
 	"tracecache/internal/metrics"
@@ -116,7 +117,7 @@ func main() {
 		return
 	}
 	if *repPath != "" {
-		runReplay(cfg, prog, *repPath, *asJSON, *jPath)
+		runReplay(cfg, prog, *repPath, *bench, *progFile, *asJSON, *jPath)
 		return
 	}
 
@@ -202,14 +203,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if run.Meta != nil {
-		run.Meta.Tool = "tcsim " + buildinfo.Version()
-		if *progFile == "" {
-			if p, ok := tracecache.BenchmarkProfile(*bench); ok {
-				run.Meta.Seed = p.Seed
-			}
-		}
-	}
+	stampMeta(run.Meta, *bench, *progFile)
 
 	if *jPath != "" {
 		if err := appendJournal(*jPath, run, time.Since(started)); err != nil {
@@ -231,13 +225,7 @@ func main() {
 		}
 	}
 
-	if chk := s.Checker(); chk != nil {
-		if chk.Total() > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
-	}
+	reportSelfCheck(s.Checker())
 
 	if *asJSON {
 		out, err := run.Summary().JSON()
@@ -249,6 +237,34 @@ func main() {
 		return
 	}
 	report(s, run)
+}
+
+// stampMeta records the producing tool and, for a built-in benchmark,
+// the workload seed in a run's provenance (every mode: detailed,
+// sampled, replayed).
+func stampMeta(m *stats.Meta, bench, progFile string) {
+	if m == nil {
+		return
+	}
+	m.Tool = "tcsim " + buildinfo.Version()
+	if progFile == "" {
+		if p, ok := tracecache.BenchmarkProfile(bench); ok {
+			m.Seed = p.Seed
+		}
+	}
+}
+
+// reportSelfCheck reports the self-verification verdict when the run
+// was checked, exiting non-zero on any violation.
+func reportSelfCheck(chk *check.Checker) {
+	if chk == nil {
+		return
+	}
+	if chk.Total() > 0 {
+		fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
 }
 
 // appendJournal appends this run's record to the journal file.

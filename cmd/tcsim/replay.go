@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tracecache"
-	"tracecache/internal/buildinfo"
 	"tracecache/internal/check"
 	"tracecache/internal/sim"
 	"tracecache/internal/trace"
@@ -49,7 +48,7 @@ func attachRecorder(s *tracecache.Simulator, path string) (finish func() error, 
 // runReplay replays a recorded stream through the front end only and
 // reports the front-end statistics (cycle-domain metrics are undefined
 // and rendered as zero; see DESIGN.md §9).
-func runReplay(cfg tracecache.Config, prog *tracecache.Program, path string, asJSON bool, jPath string) {
+func runReplay(cfg tracecache.Config, prog *tracecache.Program, path, bench, progFile string, asJSON bool, jPath string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
@@ -71,9 +70,7 @@ func runReplay(cfg tracecache.Config, prog *tracecache.Program, path string, asJ
 		fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)
 		os.Exit(1)
 	}
-	if run.Meta != nil {
-		run.Meta.Tool = "tcsim " + buildinfo.Version()
-	}
+	stampMeta(run.Meta, bench, progFile)
 	if jPath != "" {
 		if err := appendJournal(jPath, run, time.Since(started)); err != nil {
 			fmt.Fprintf(os.Stderr, "tcsim: %v\n", err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tracecache"
-	"tracecache/internal/buildinfo"
 	"tracecache/internal/sampling"
 	"tracecache/internal/stats"
 	"tracecache/internal/textplot"
@@ -35,21 +34,8 @@ func runSampled(cfg tracecache.Config, prog *tracecache.Program, bench, progFile
 		}
 		os.Exit(1)
 	}
-	if chk := s.Checker(); chk != nil {
-		if chk.Total() > 0 {
-			fmt.Fprintf(os.Stderr, "tcsim: self-check FAILED\n%s\n", chk.Report())
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "tcsim: self-check passed (%d committed instructions verified, 0 violations)\n", chk.Commits())
-	}
-	if m := res.Sampled.Meta; m != nil {
-		m.Tool = "tcsim " + buildinfo.Version()
-		if progFile == "" {
-			if p, ok := tracecache.BenchmarkProfile(bench); ok {
-				m.Seed = p.Seed
-			}
-		}
-	}
+	reportSelfCheck(s.Checker())
+	stampMeta(res.Sampled.Meta, bench, progFile)
 
 	if jPath != "" {
 		if err := appendJournal(jPath, res.Run, time.Since(started)); err != nil {

@@ -48,21 +48,6 @@ func (r *Runner) traceEntryFor(bench string) (*traceEntry, bool) {
 	return e, true
 }
 
-// traceWant is the stream content a run under cfg requires; its FileName
-// is where TraceDir would persist it (content-addressed, so the name is
-// a pure function of the program identity and the total budget).
-func traceWant(cfg sim.Config, prog *program.Program) trace.Header {
-	return trace.Header{
-		ProgHash:         prog.Hash(),
-		CodeLen:          len(prog.Code),
-		Entry:            prog.Entry,
-		FastForwardInsts: cfg.FastForwardInsts,
-		WarmupInsts:      cfg.WarmupInsts,
-		MeasureInsts:     cfg.MaxInsts,
-		Name:             prog.Name,
-	}
-}
-
 // loadTrace attempts to resolve a persisted recording from TraceDir,
 // decoding it fully (which also verifies the record count and CRC). Any
 // failure — no directory, missing file, undecodable or mismatched stream
@@ -72,7 +57,7 @@ func (r *Runner) loadTrace(cfg sim.Config, prog *program.Program) (trace.Header,
 	if r.TraceDir == "" {
 		return trace.Header{}, nil, false
 	}
-	want := traceWant(cfg, prog)
+	want := sim.TraceHeaderFor(cfg, prog)
 	data, err := os.ReadFile(filepath.Join(r.TraceDir, want.FileName()))
 	if err != nil {
 		return trace.Header{}, nil, false

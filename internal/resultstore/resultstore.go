@@ -166,10 +166,13 @@ func Open(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // encode renders an entry file: a one-line header carrying the magic,
-// the format version and the payload CRC, then the JSON payload.
+// the format version and the payload CRC, then the JSON payload. The
+// version is stamped on a copy: the caller's entry may be shared with
+// concurrent writers.
 func encode(e *Entry) ([]byte, error) {
-	e.Version = FormatVersion
-	payload, err := json.Marshal(e)
+	stamped := *e
+	stamped.Version = FormatVersion
+	payload, err := json.Marshal(&stamped)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}

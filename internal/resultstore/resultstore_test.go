@@ -88,6 +88,27 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutLeavesEntryUnchanged pins that Put only reads the caller's
+// entry: one entry may be put from several goroutines at once (a shared
+// memo result), so stamping the format version on it would be a race.
+func TestPutLeavesEntryUnchanged(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	e := sampleEntry()
+	if err := s.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleEntry(); !reflect.DeepEqual(e, want) {
+		t.Errorf("Put modified the entry:\ngot  %+v\nwant %+v", e, want)
+	}
+	got, err := s.Get(e.Key)
+	if err != nil || got == nil {
+		t.Fatalf("Get = (%v, %v)", got, err)
+	}
+	if got.Version != resultstore.FormatVersion {
+		t.Errorf("stored version = %d, want %d", got.Version, resultstore.FormatVersion)
+	}
+}
+
 func TestMissingKeyIsPlainMiss(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	e, err := s.Get(sampleEntry().Key)

@@ -31,8 +31,6 @@ package sampling
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"tracecache/internal/check"
@@ -240,27 +238,15 @@ func Run(s *sim.Simulator) (*Result, error) {
 	sampled.Aggregate()
 	vs := audit.Finalize(s.CommittedInsts(), sampled.MeasuredInsts)
 
-	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
-	wall := time.Since(start)
-	host, _ := os.Hostname()
-	meta := &stats.Meta{
-		ConfigHash:       cfg.Hash(),
-		WarmupInsts:      p.WarmupInsts,
-		MaxInsts:         cfg.MaxInsts,
-		FastForwardInsts: cfg.FastForwardInsts,
-		Provenance:       stats.ProvSampled,
-		WallMillis:       float64(wall.Microseconds()) / 1000,
-		GoVersion:        runtime.Version(),
-		Hostname:         host,
-		//tcvet:ignore determinism wall-clock provenance only: stats.Meta timestamp, never simulated state
-		StartedAt: start.UTC().Format(time.RFC3339),
-		Sampling: &stats.SamplingMeta{
-			WindowInsts: p.WindowInsts,
-			PeriodInsts: p.PeriodInsts,
-			WarmupInsts: p.WarmupInsts,
-			Seed:        p.Seed,
-			Windows:     len(sampled.Windows),
-		},
+	meta := stats.NewMeta(cfg.Hash(), start)
+	meta.WarmupInsts, meta.MaxInsts, meta.FastForwardInsts = p.WarmupInsts, cfg.MaxInsts, cfg.FastForwardInsts
+	meta.Provenance = stats.ProvSampled
+	meta.Sampling = &stats.SamplingMeta{
+		WindowInsts: p.WindowInsts,
+		PeriodInsts: p.PeriodInsts,
+		WarmupInsts: p.WarmupInsts,
+		Seed:        p.Seed,
+		Windows:     len(sampled.Windows),
 	}
 	sampled.Meta = meta
 	pooled.Meta = meta

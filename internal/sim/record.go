@@ -2,6 +2,7 @@ package sim
 
 import (
 	"tracecache/internal/isa"
+	"tracecache/internal/program"
 	"tracecache/internal/trace"
 )
 
@@ -17,16 +18,26 @@ func (s *Simulator) AttachRecorder(w *trace.Writer) { s.trc = w }
 // TraceHeader describes the stream an attached recorder captures under
 // this simulator's configuration and program.
 func (s *Simulator) TraceHeader(provenance string) trace.Header {
+	h := TraceHeaderFor(s.cfg, s.prog)
+	h.Provenance = provenance
+	return h
+}
+
+// TraceHeaderFor is the identity of the retired stream a run of prog
+// under cfg commits: the program, the budgets it covers and the core it
+// was recorded on. Its FileName is the stream's content-addressed name,
+// and a recording replays a run under cfg only when its header Matches
+// this one.
+func TraceHeaderFor(cfg Config, prog *program.Program) trace.Header {
 	return trace.Header{
-		ProgHash:         s.prog.Hash(),
-		CodeLen:          len(s.prog.Code),
-		Entry:            s.prog.Entry,
-		FastForwardInsts: s.cfg.FastForwardInsts,
-		WarmupInsts:      s.cfg.WarmupInsts,
-		MeasureInsts:     s.cfg.MaxInsts,
-		CoreHash:         s.cfg.CoreHash(),
-		Name:             s.prog.Name,
-		Provenance:       provenance,
+		ProgHash:         prog.Hash(),
+		CodeLen:          len(prog.Code),
+		Entry:            prog.Entry,
+		FastForwardInsts: cfg.FastForwardInsts,
+		WarmupInsts:      cfg.WarmupInsts,
+		MeasureInsts:     cfg.MaxInsts,
+		CoreHash:         cfg.CoreHash(),
+		Name:             prog.Name,
 	}
 }
 

@@ -3,12 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
-	"tracecache/internal/cache"
-	"tracecache/internal/core"
 	"tracecache/internal/fetch"
 	"tracecache/internal/program"
 	"tracecache/internal/stats"
@@ -34,14 +30,12 @@ import (
 // Cycle-domain statistics (Cycles, IPC, cycle classification, wrong-path
 // fetch counts, resolution latencies) are undefined and left zero.
 type Replayer struct {
-	cfg      Config
-	prog     *program.Program
-	progHash uint64
-	f        *frontEnd
-	run      stats.Run
-	fiBuf    []*fetch.FetchedInst
-	recs     []trace.Rec // the stream being replayed
-	idx      int         // cursor into recs
+	frontEnd
+	cfg  Config
+	prog *program.Program
+	run  stats.Run
+	recs []trace.Rec // the stream being replayed
+	idx  int         // cursor into recs
 }
 
 // NewReplayer builds a front-end-only replay engine for the program
@@ -55,20 +49,11 @@ func NewReplayer(cfg Config, prog *program.Program) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replayer{cfg: cfg, prog: prog, progHash: prog.Hash(), f: f}
+	r := &Replayer{frontEnd: f, cfg: cfg, prog: prog}
 	r.run.Config = cfg.Name
 	r.run.Benchmark = prog.Name
 	return r, nil
 }
-
-// TraceCache returns the trace cache (nil for the icache front end).
-func (r *Replayer) TraceCache() *core.TraceCache { return r.f.tc }
-
-// FillUnit returns the fill unit (nil for the icache front end).
-func (r *Replayer) FillUnit() *core.FillUnit { return r.f.fill }
-
-// Hierarchy returns the cache hierarchy.
-func (r *Replayer) Hierarchy() *cache.Hierarchy { return r.f.hier }
 
 // Stats returns the statistics collected so far.
 func (r *Replayer) Stats() *stats.Run { return &r.run }
@@ -101,7 +86,7 @@ func (r *Replayer) Replay(rd *trace.Reader) (*stats.Run, error) {
 func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, error) {
 	//tcvet:ignore determinism wall-clock provenance only: run start time for stats.Meta, never simulated state
 	start := time.Now()
-	if err := h.Matches(r.traceWant()); err != nil {
+	if err := h.Matches(TraceHeaderFor(r.cfg, r.prog)); err != nil {
 		return nil, fmt.Errorf("sim: replay %q/%q: %w", r.cfg.Name, r.prog.Name, err)
 	}
 	r.recs, r.idx = recs, 0
@@ -120,7 +105,7 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 		if !warming && r.run.Retired >= r.cfg.MaxInsts {
 			break
 		}
-		b := r.f.fe.Fetch(pc)
+		b := r.fe.Fetch(pc)
 		consumed := 0
 		mispredBR := false
 		redirected := false
@@ -143,7 +128,7 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 				// Return misfetch (the RAS is ideal on the committed path,
 				// so this mirrors a recovery that should never trigger):
 				// redirect to the committed continuation.
-				r.f.fe.ResolveEffect(fi, false)
+				r.fe.ResolveEffect(fi, false)
 				redirected = true
 				pc = r.recs[r.idx].PC
 				break
@@ -177,36 +162,15 @@ func (r *Replayer) ReplayRecords(h trace.Header, recs []trace.Rec) (*stats.Run, 
 			pc = b.NextPC
 		}
 		if consumed > 0 {
-			r.run.Fetches++
-			r.run.FetchedCorrect += uint64(consumed)
-			end := b.Reason
-			if mispredBR {
-				end = stats.EndMispredBR
-			}
-			r.run.Hist.Add(consumed, end)
-			p := b.PredsUsed
-			if p > 3 {
-				p = 3
-			}
-			r.run.PredsPerFetch[p]++
+			r.run.AddFetch(consumed, b.Reason, mispredBR, b.PredsUsed)
 		}
 	}
-	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
-	r.run.Meta = r.buildMeta(start, time.Since(start))
+	m := stats.NewMeta(r.cfg.Hash(), start)
+	m.WarmupInsts, m.MaxInsts, m.FastForwardInsts = r.cfg.WarmupInsts, r.cfg.MaxInsts, r.cfg.FastForwardInsts
+	m.Provenance = stats.ProvReplay
+	r.run.Meta = m
 	run := r.run
 	return &run, nil
-}
-
-// traceWant is the stream content this replay requires.
-func (r *Replayer) traceWant() trace.Header {
-	return trace.Header{
-		ProgHash:         r.progHash,
-		CodeLen:          len(r.prog.Code),
-		Entry:            r.prog.Entry,
-		FastForwardInsts: r.cfg.FastForwardInsts,
-		WarmupInsts:      r.cfg.WarmupInsts,
-		MeasureInsts:     r.cfg.MaxInsts,
-	}
 }
 
 // divergeErr reports a committed-path mismatch: the front end delivered
@@ -217,79 +181,35 @@ func (r *Replayer) divergeErr(fetched, recorded int, total uint64) error {
 		r.cfg.Name, r.prog.Name, total, fetched, recorded)
 }
 
-// commitInst retires one fetched instruction against its record: the
-// fill unit and bias table consume it, predictors train, statistics
-// accumulate, and a mispredicted branch or misfetched indirect restores
-// the fetch state and redirects (redir true, target the committed next
-// PC). This is the front-end-visible half of Simulator.retireInst plus
-// the resolve-time recovery effects of Simulator.recoverBranch.
+// commitInst retires one fetched instruction against its record through
+// the front end's shared commit path (the one Simulator.retireInst uses),
+// then a mispredicted branch or misfetched indirect restores the fetch
+// state and redirects (redir true, target the committed next PC) — the
+// resolve-time recovery effects of Simulator.recoverBranch.
 //
 //tc:hotpath
 func (r *Replayer) commitInst(fi *fetch.FetchedInst, rec *trace.Rec, alignFill bool) (target int, redir bool) {
 	in := fi.Inst
-	actual := rec.Taken
 	mispred := false
 	switch {
 	case in.IsCondBranch():
-		mispred = fi.Predicted != actual
+		mispred = fi.Predicted != rec.Taken
 	case in.IsIndirect():
 		mispred = fi.PredTarget != rec.Target
 	}
 	// A faulting promoted branch checks demotion before it retires (in
 	// the detailed machine the fault resolves cycles before the commit
 	// updates the bias table; order preserved here).
-	if mispred && fi.Promoted && r.f.fill != nil && r.f.fill.Bias() != nil &&
-		r.f.fill.Bias().ShouldDemote(fi.PC, fi.Predicted) {
-		r.f.tc.InvalidatePromoted(fi.PC)
+	if mispred && fi.Promoted {
+		r.demote(fi)
 	}
-	r.run.Retired++
-	if r.f.fill != nil {
-		if alignFill {
-			r.f.fill.Align()
-		}
-		r.f.fill.Retire(fi.PC, in, actual)
-	}
-	switch {
-	case in.IsCondBranch():
-		r.run.CondBranches++
-		src := stats.SrcEmbedded
-		if fi.Promoted {
-			src = stats.SrcPromoted
-			r.run.PromotedExecuted++
-			if mispred {
-				r.run.PromotedFaults++
-			}
-		} else if fi.UsedSlot {
-			src = stats.SrcSlot
-			r.f.mbp.Update(fi.Ctx, actual)
-		} else if fi.UsedHybrid {
-			src = stats.SrcHybrid
-			r.f.hyb.Update(fi.HCtx, actual)
-		}
-		r.run.CondBySource[src]++
-		if mispred {
-			r.run.MissBySource[src]++
-			r.run.CondMispredicts++
-		}
-	case in.IsIndirect():
-		r.run.IndirectJumps++
-		r.f.ind.Update(fi.PC, rec.Target)
-		if mispred {
-			r.run.IndirectMisses++
-		}
-	case in.IsReturn():
-		r.run.Returns++
-	case in.IsStore():
-		if rec.HasMem {
-			r.f.hier.AccessData(rec.MemAddr)
-		}
-	}
+	r.commit(&r.run, fi, rec.Taken, rec.Target, rec.MemAddr, mispred, alignFill)
 	if !mispred {
 		return 0, false
 	}
-	r.f.fe.ResolveEffect(fi, actual)
+	r.fe.ResolveEffect(fi, rec.Taken)
 	if in.IsCondBranch() {
-		if actual {
+		if rec.Taken {
 			return in.Target, true
 		}
 		return fi.PC + 1, true
@@ -306,11 +226,7 @@ func (r *Replayer) commitInst(fi *fetch.FetchedInst, rec *trace.Rec, alignFill b
 // machine. Returns the instructions committed, the resume PC, and
 // whether a halt committed.
 func (r *Replayer) inject(suffix []fetch.FetchedInst) (int, int, bool, error) {
-	r.fiBuf = r.fiBuf[:0]
-	for i := range suffix {
-		r.fiBuf = append(r.fiBuf, &suffix[i])
-	}
-	resume := r.f.fe.ApplyEffects(r.fiBuf)
+	resume := r.applyEffects(suffix)
 	n := 0
 	for i := range suffix {
 		if r.idx >= len(r.recs) {
@@ -332,25 +248,9 @@ func (r *Replayer) inject(suffix []fetch.FetchedInst) (int, int, bool, error) {
 			return n, resume, true, nil
 		}
 		if fi.Inst.IsReturn() && r.idx < len(r.recs) && fi.PredTarget != r.recs[r.idx].PC {
-			r.f.fe.ResolveEffect(fi, false)
+			r.fe.ResolveEffect(fi, false)
 			return n, r.recs[r.idx].PC, false, nil
 		}
 	}
 	return n, resume, false, nil
-}
-
-// buildMeta records the replayed run's provenance.
-func (r *Replayer) buildMeta(start time.Time, wall time.Duration) *stats.Meta {
-	host, _ := os.Hostname()
-	return &stats.Meta{
-		ConfigHash:       r.cfg.Hash(),
-		WarmupInsts:      r.cfg.WarmupInsts,
-		MaxInsts:         r.cfg.MaxInsts,
-		FastForwardInsts: r.cfg.FastForwardInsts,
-		Provenance:       stats.ProvReplay,
-		WallMillis:       float64(wall.Microseconds()) / 1000,
-		GoVersion:        runtime.Version(),
-		Hostname:         host,
-		StartedAt:        start.UTC().Format(time.RFC3339),
-	}
 }

@@ -207,15 +207,35 @@ func TestRecordTapFastForwardEquivalence(t *testing.T) {
 }
 
 // TestReplayHaltingProgram replays a program that halts before the
-// budget: the replay must stop cleanly at the halt.
+// budget under every front end: the replay must stop cleanly at the
+// halt. With no warmup and no budget boundary, the detailed run and the
+// replay retire the whole committed stream through the same commit
+// path, so the committed-stream counters must match exactly.
 func TestReplayHaltingProgram(t *testing.T) {
 	prog := sumLoop(t, 100)
-	cfg := DefaultConfig()
-	cfg.MaxInsts = 1 << 20
-	data, det, _ := recordDetailed(t, cfg, prog)
-	rep, _ := replayStream(t, cfg, prog, data)
-	if rep.Retired != det.Retired {
-		t.Fatalf("retired: detailed %d, replayed %d", det.Retired, rep.Retired)
+	for _, cfg := range replayConfigs() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			cfg.MaxInsts = 1 << 20
+			data, det, _ := recordDetailed(t, cfg, prog)
+			rep, _ := replayStream(t, cfg, prog, data)
+			if det.CondBranches == 0 {
+				t.Fatalf("degenerate stream: %d retired, no conditional branches", det.Retired)
+			}
+			for _, c := range []struct {
+				name     string
+				det, rep uint64
+			}{
+				{"retired", det.Retired, rep.Retired},
+				{"cond branches", det.CondBranches, rep.CondBranches},
+				{"indirect jumps", det.IndirectJumps, rep.IndirectJumps},
+				{"returns", det.Returns, rep.Returns},
+			} {
+				if c.det != c.rep {
+					t.Errorf("%s: detailed %d, replayed %d", c.name, c.det, c.rep)
+				}
+			}
+		})
 	}
 }
 

@@ -1,12 +1,8 @@
 package sim
 
 import (
-	"os"
-	"runtime"
 	"time"
 
-	"tracecache/internal/bpred"
-	"tracecache/internal/cache"
 	"tracecache/internal/check"
 	"tracecache/internal/core"
 	"tracecache/internal/engine"
@@ -81,19 +77,14 @@ type fetchRec struct {
 // noProducer marks an architectural (not in-flight) register value.
 const noProducer = ^uint64(0)
 
-// Simulator runs one program under one configuration.
+// Simulator runs one program under one configuration: the front end it
+// shares with the replay engine plus the execution core.
 type Simulator struct {
+	frontEnd
 	cfg   Config
 	prog  *program.Program
 	state *exec.State
 	eng   *engine.Engine
-	fe    fetch.Engine
-	tc    *core.TraceCache
-	fill  *core.FillUnit
-	mbp   bpred.MultiPredictor
-	hyb   *bpred.Hybrid
-	ind   *bpred.IndirectPredictor
-	hier  *cache.Hierarchy
 
 	run       stats.Run
 	cycle     uint64
@@ -149,7 +140,6 @@ type Simulator struct {
 
 	srcBuf []isa.Reg
 	seqBuf []uint64
-	fiBuf  []*fetch.FetchedInst
 
 	// Observability (all nil/zero by default: the disabled path costs a
 	// nil check per instrumentation site).
@@ -192,14 +182,11 @@ func New(cfg Config, prog *program.Program) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, prog: prog, state: exec.NewState(prog), pendingBrIdx: -1}
 	f, err := newFrontEnd(cfg, prog)
 	if err != nil {
 		return nil, err
 	}
-	s.hier, s.ind = f.hier, f.ind
-	s.tc, s.fill = f.tc, f.fill
-	s.mbp, s.hyb, s.fe = f.mbp, f.hyb, f.fe
+	s := &Simulator{frontEnd: f, cfg: cfg, prog: prog, state: exec.NewState(prog), pendingBrIdx: -1}
 	s.eng = engine.New(cfg.Engine, s.hier)
 	size := 1
 	for size < 2*cfg.Engine.Window() {
@@ -311,15 +298,6 @@ func (s *Simulator) growRecords() {
 //tc:hotpath
 func (s *Simulator) rec(id int) *fetchRec { return &s.records[id&s.recMask] }
 
-// TraceCache returns the trace cache (nil for the icache configuration).
-func (s *Simulator) TraceCache() *core.TraceCache { return s.tc }
-
-// FillUnit returns the fill unit (nil for the icache configuration).
-func (s *Simulator) FillUnit() *core.FillUnit { return s.fill }
-
-// Hierarchy returns the cache hierarchy.
-func (s *Simulator) Hierarchy() *cache.Hierarchy { return s.hier }
-
 // Engine returns the execution core.
 func (s *Simulator) Engine() *engine.Engine { return s.eng }
 
@@ -425,8 +403,13 @@ func (s *Simulator) Run() *stats.Run {
 		s.flushMetrics()
 	}
 	s.run.Cycles = s.cycle - s.cycleBase
-	//tcvet:ignore determinism wall-clock provenance only: feeds stats.Meta wall time, never simulated state
-	s.run.Meta = s.buildMeta(start, time.Since(start))
+	m := stats.NewMeta(s.cfg.Hash(), start)
+	m.WarmupInsts, m.MaxInsts, m.FastForwardInsts = s.cfg.WarmupInsts, s.cfg.MaxInsts, s.ffwdDone
+	m.CheckpointShared, m.Provenance = s.fromCheckpoint, stats.ProvCold
+	if s.fromCheckpoint {
+		m.Provenance = stats.ProvCheckpointFork
+	}
+	s.run.Meta = m
 	if s.coll != nil {
 		s.coll.Finish(s.probe(), s.run.Meta)
 	}
@@ -448,27 +431,6 @@ func (s *Simulator) Run() *stats.Run {
 	// records, caches) for as long as the caller keeps the result.
 	run := s.run
 	return &run
-}
-
-// buildMeta records the run's provenance.
-func (s *Simulator) buildMeta(start time.Time, wall time.Duration) *stats.Meta {
-	host, _ := os.Hostname()
-	prov := stats.ProvCold
-	if s.fromCheckpoint {
-		prov = stats.ProvCheckpointFork
-	}
-	return &stats.Meta{
-		ConfigHash:       s.cfg.Hash(),
-		WarmupInsts:      s.cfg.WarmupInsts,
-		MaxInsts:         s.cfg.MaxInsts,
-		FastForwardInsts: s.ffwdDone,
-		CheckpointShared: s.fromCheckpoint,
-		Provenance:       prov,
-		WallMillis:       float64(wall.Microseconds()) / 1000,
-		GoVersion:        runtime.Version(),
-		Hostname:         host,
-		StartedAt:        start.UTC().Format(time.RFC3339),
-	}
 }
 
 // resetStats zeroes measurement counters at the end of warmup. The cycle
@@ -530,7 +492,6 @@ func (s *Simulator) retire() {
 //tc:hotpath
 func (s *Simulator) retireInst(d *dyn) {
 	in := d.fi.Inst
-	s.run.Retired++
 	if s.met != nil {
 		s.metInsts++
 	}
@@ -548,53 +509,13 @@ func (s *Simulator) retireInst(d *dyn) {
 	if s.trc != nil {
 		s.recordRetire(d.fi.PC, in, d.taken, d.nextPC, d.memAddr)
 	}
-	if s.fill != nil {
-		if d.alignFill {
-			s.fill.Align()
-		}
-		s.fill.Retire(d.fi.PC, in, d.taken)
+	s.commit(&s.run, &d.fi, d.taken, d.nextPC, d.memAddr, d.mispredicted, d.alignFill)
+	if in.IsCondBranch() && s.OnRetireBranch != nil {
+		s.OnRetireBranch(d.fi.PC, d.taken, d.mispredicted, d.fi.Promoted)
 	}
-	switch {
-	case in.IsCondBranch():
-		if s.OnRetireBranch != nil {
-			s.OnRetireBranch(d.fi.PC, d.taken, d.mispredicted, d.fi.Promoted)
-		}
-		s.run.CondBranches++
-		src := stats.SrcEmbedded
-		if d.fi.Promoted {
-			src = stats.SrcPromoted
-			s.run.PromotedExecuted++
-			if d.mispredicted {
-				s.run.PromotedFaults++
-			}
-		} else if d.fi.UsedSlot {
-			src = stats.SrcSlot
-			s.mbp.Update(d.fi.Ctx, d.taken)
-		} else if d.fi.UsedHybrid {
-			src = stats.SrcHybrid
-			s.hyb.Update(d.fi.HCtx, d.taken)
-		}
-		s.run.CondBySource[src]++
-		if d.mispredicted {
-			s.run.MissBySource[src]++
-		}
-		if d.mispredicted {
-			s.run.CondMispredicts++
-			s.run.ResolutionSum += d.resolution
-			s.run.ResolutionsCounted++
-		}
-	case in.IsIndirect():
-		s.run.IndirectJumps++
-		s.ind.Update(d.fi.PC, d.nextPC)
-		if d.mispredicted {
-			s.run.IndirectMisses++
-			s.run.ResolutionSum += d.resolution
-			s.run.ResolutionsCounted++
-		}
-	case in.IsReturn():
-		s.run.Returns++
-	case in.IsStore():
-		s.hier.AccessData(d.memAddr)
+	if d.mispredicted && (in.IsCondBranch() || in.IsIndirect()) {
+		s.run.ResolutionSum += d.resolution
+		s.run.ResolutionsCounted++
 	}
 	if s.serialInFl && s.serialSeq == d.seq {
 		s.serialInFl = false
@@ -652,14 +573,10 @@ func (s *Simulator) recoverBranch(d *dyn) {
 		if s.obs != nil {
 			s.obs.Emit(obs.Event{Kind: obs.KindPromotedFault, Cycle: s.cycle, PC: d.fi.PC})
 		}
-		if s.fill != nil && s.fill.Bias() != nil &&
-			s.fill.Bias().ShouldDemote(d.fi.PC, d.fi.Predicted) {
-			n := s.tc.InvalidatePromoted(d.fi.PC)
-			if s.obs != nil {
-				s.obs.Emit(obs.Event{
-					Kind: obs.KindDemote, Cycle: s.cycle, PC: d.fi.PC, V1: uint64(n),
-				})
-			}
+		if n, ok := s.demote(&d.fi); ok && s.obs != nil {
+			s.obs.Emit(obs.Event{
+				Kind: obs.KindDemote, Cycle: s.cycle, PC: d.fi.PC, V1: uint64(n),
+			})
 		}
 		s.recover(d, stats.CycleBranchMiss, d.nextPC)
 		s.redirectHold += uint64(s.cfg.FaultPenalty)
@@ -677,18 +594,8 @@ func (s *Simulator) recoverBranch(d *dyn) {
 		// (and the suffix) is wrong: plain recovery, no injection.
 		s.injectQueue = append(s.injectQueue[:0], suffix...)
 		s.injectRec = d.fetchID
-		s.fetchPC = s.applyAndResume(suffix)
+		s.fetchPC = s.applyEffects(suffix)
 	}
-}
-
-// applyAndResume applies the fetch-state effects of the inactive suffix
-// and returns the PC where fetch resumes.
-func (s *Simulator) applyAndResume(suffix []fetch.FetchedInst) int {
-	s.fiBuf = s.fiBuf[:0]
-	for i := range suffix {
-		s.fiBuf = append(s.fiBuf, &suffix[i])
-	}
-	return s.fe.ApplyEffects(s.fiBuf)
 }
 
 // recover squashes everything younger than d, rolls back architectural
@@ -1037,18 +944,7 @@ func (s *Simulator) maybeFinalize(id int) {
 	}
 	if rec.retired > 0 {
 		s.run.Cycle[stats.CycleUseful]++
-		s.run.Fetches++
-		s.run.FetchedCorrect += uint64(rec.retired)
-		end := rec.reason
-		if rec.mispredBR {
-			end = stats.EndMispredBR
-		}
-		s.run.Hist.Add(rec.retired, end)
-		p := rec.predsUsed
-		if p > 3 {
-			p = 3
-		}
-		s.run.PredsPerFetch[p]++
+		s.run.AddFetch(rec.retired, rec.reason, rec.mispredBR, rec.predsUsed)
 		return
 	}
 	cls := rec.cause

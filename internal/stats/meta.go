@@ -1,5 +1,11 @@
 package stats
 
+import (
+	"os"
+	"runtime"
+	"time"
+)
+
 // Result provenance values (Meta.Provenance and journal records).
 const (
 	// ProvCold marks a result simulated from scratch.
@@ -89,4 +95,20 @@ type Meta struct {
 	// Sampling is the sampling schedule of a ProvSampled run; nil on
 	// every other provenance.
 	Sampling *SamplingMeta `json:"sampling,omitempty"`
+}
+
+// NewMeta starts the provenance of a run that began at start under the
+// configuration with the given hash: the wall time up to now, the Go
+// runtime and the host. The caller fills in the budgets and provenance.
+func NewMeta(configHash string, start time.Time) *Meta {
+	//tcvet:ignore determinism wall-clock provenance only: feeds Meta wall time, never simulated state
+	wall := time.Since(start)
+	host, _ := os.Hostname()
+	return &Meta{
+		ConfigHash: configHash,
+		WallMillis: float64(wall.Microseconds()) / 1000,
+		GoVersion:  runtime.Version(),
+		Hostname:   host,
+		StartedAt:  start.UTC().Format(time.RFC3339),
+	}
 }

@@ -188,6 +188,25 @@ type Run struct {
 	MissBySource [NumPredSources]uint64
 }
 
+// AddFetch records one fetch that delivered n > 0 correct-path
+// instructions: end is why it stopped (a mispredicted branch in it
+// overrides that with EndMispredBR) and predsUsed the dynamic
+// predictions it consumed.
+//
+//tc:hotpath
+func (r *Run) AddFetch(n int, end FetchEnd, mispredBR bool, predsUsed int) {
+	r.Fetches++
+	r.FetchedCorrect += uint64(n)
+	if mispredBR {
+		end = EndMispredBR
+	}
+	r.Hist.Add(n, end)
+	if predsUsed > 3 {
+		predsUsed = 3
+	}
+	r.PredsPerFetch[predsUsed]++
+}
+
 // PredSource identifies what predicted a retired conditional branch.
 type PredSource uint8
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI for the tracecache repo: tier-1 build+test, vet+gofmt+tcvet static
 # gates, a race pass over the observability layer, the simulator, and the
-# parallel sweep engine, a repeated tcserve shutdown test, a fast-forward
+# parallel sweep engine, a repeated tcserve shutdown test, a repeated
+# resultstore concurrent-writer race test, a fast-forward
 # smoke+accuracy step, a tcserve sweep-service smoke (restart +
 # store-served resubmission), and a benchmark smoke step so the perf
 # harness stays runnable.
@@ -35,6 +36,9 @@ go test -race -run 'Parallel|Singleflight|RunE|SweepE|RunAll|Shared|FastForward|
 
 echo "== tcserve shutdown (Close drains in-flight jobs; guards the TestQuota TempDir flake) =="
 go test -count=20 -run 'TestQuota|TestCloseDrainsInFlightJobs' ./internal/server/
+
+echo "== resultstore concurrent writers under -race (Put must not write the caller's entry) =="
+go test -race -count=5 -run TestConcurrentCrossProcessReuse ./internal/resultstore/
 
 echo "== fast-forward smoke (checkpoint-shared sweep) =="
 go run ./cmd/tcbench -exp fig4 -ffwd 100000 -warmup 20000 -insts 40000 -j 1 >/dev/null
