@@ -239,13 +239,18 @@ func (e *Engine) NextSeq() uint64 { return e.tail }
 func (e *Engine) Dispatch(srcs []uint64, isLoad, isStore bool, addr uint64, latency int) uint64 {
 	seq := e.tail
 	e.tail++
+	// Reset the slot in place rather than through a composite literal, which
+	// would build a temporary and copy it in with write barriers. Every
+	// field is assigned; ep advances so stale refs to the old occupant fail
+	// validation, and deps keeps its backing array.
 	in := e.slot(seq)
+	in.seq = seq
 	in.ep++
-	*in = inst{
-		seq: seq, ep: in.ep, live: true,
-		isLoad: isLoad, isStore: isStore, addr: addr, latency: latency,
-		deps: in.deps[:0],
-	}
+	in.live, in.done, in.started, in.memDone = true, false, false, false
+	in.isLoad, in.isStore, in.addr, in.latency = isLoad, isStore, addr, latency
+	in.depCount = 0
+	in.deps = in.deps[:0]
+	in.doneAt = 0
 	e.stats.Dispatched++
 	if occ := e.InFlight(); occ > e.stats.HighWater {
 		e.stats.HighWater = occ

@@ -40,12 +40,19 @@ type undoRec struct {
 // checkpoint-repair execution core of the paper. Every architectural
 // mutation is undo-logged, so a Snapshot is just a log position and
 // checkpoints are O(1).
+//
+// The log keeps a released prefix: undo[:undoHead] holds records no
+// snapshot can roll back to any more. ReleaseBefore only advances
+// undoHead, and the log is shifted down once that prefix is at least half
+// of it, so releasing history is amortized O(1) per record and the backing
+// log never holds more than twice the live records.
 type State struct {
 	prog      *program.Program
 	Regs      [isa.NumRegs]int64
 	mem       *Memory
 	callStack []int
 	undo      []undoRec
+	undoHead  int    // undo[:undoHead] is released history
 	undoBase  uint64 // absolute index of undo[0]
 	steps     uint64
 }
@@ -90,8 +97,29 @@ func (s *State) SetCallStack(cs []int) {
 // monotonic, so snapshots taken after the reset remain valid. Used by
 // checkpoint restore: a restored state has nothing to roll back to.
 func (s *State) ResetUndo() {
-	s.undoBase += uint64(len(s.undo))
+	s.dropUndo()
 	s.undo = nil
+}
+
+// dropUndo discards every undo record, released or live, keeping the
+// backing array and snapshot marks monotonic.
+func (s *State) dropUndo() {
+	s.undoBase += uint64(len(s.undo))
+	s.undo = s.undo[:0]
+	s.undoHead = 0
+}
+
+// shiftUndo moves the live records to the front of the log once the
+// released prefix is at least half of it. Each shift copies no more records
+// than it discards, so its cost is amortized over the records released.
+func (s *State) shiftUndo() {
+	if s.undoHead == 0 || 2*s.undoHead < len(s.undo) {
+		return
+	}
+	n := copy(s.undo, s.undo[s.undoHead:])
+	s.undo = s.undo[:n]
+	s.undoBase += uint64(s.undoHead)
+	s.undoHead = 0
 }
 
 func (s *State) writeReg(r isa.Reg, v int64) {
@@ -208,11 +236,13 @@ func (s *State) Checkpoint() Snapshot {
 
 // Rollback restores the state captured by the snapshot, undoing every
 // mutation performed since it was taken. The snapshot must not be older
-// than the last ReleaseBefore mark.
+// than the last ReleaseBefore mark; an older one is clamped to it, so
+// released records are never undone. Its cost is proportional to the
+// records undone.
 func (s *State) Rollback(sn Snapshot) {
 	keep := int(sn.undoMark - s.undoBase)
-	if keep < 0 {
-		keep = 0
+	if keep < s.undoHead {
+		keep = s.undoHead
 	}
 	for i := len(s.undo) - 1; i >= keep; i-- {
 		u := s.undo[i]
@@ -228,22 +258,24 @@ func (s *State) Rollback(sn Snapshot) {
 		}
 	}
 	s.undo = s.undo[:keep]
+	s.shiftUndo()
 }
 
 // ReleaseBefore discards undo history older than the snapshot, bounding
 // memory use. Call it when a snapshot can no longer be rolled back to (the
-// instruction that took it has retired).
+// instruction that took it has retired). The discarded records join the
+// released prefix; the log is shifted only once that prefix is at least
+// half of it, so a release is amortized O(1).
 func (s *State) ReleaseBefore(sn Snapshot) {
 	drop := int(sn.undoMark - s.undoBase)
-	if drop <= 0 {
+	if drop <= s.undoHead {
 		return
 	}
 	if drop > len(s.undo) {
 		drop = len(s.undo)
 	}
-	n := copy(s.undo, s.undo[drop:])
-	s.undo = s.undo[:n]
-	s.undoBase += uint64(drop)
+	s.undoHead = drop
+	s.shiftUndo()
 }
 
 // undoRetainCap is the undo capacity kept across CompactTo calls: large
@@ -260,13 +292,14 @@ const undoRetainCap = 1 << 14
 // undo log regardless of how long the snapshot it holds lives.
 func (s *State) CompactTo(sn Snapshot) {
 	s.ReleaseBefore(sn)
+	// A log with no live records has been shifted down to empty.
 	if len(s.undo) == 0 && cap(s.undo) > undoRetainCap {
 		s.undo = nil
 	}
 }
 
-// UndoLen returns the number of live undo records (for tests).
-func (s *State) UndoLen() int { return len(s.undo) }
+// UndoLen returns the number of live (not yet released) undo records.
+func (s *State) UndoLen() int { return len(s.undo) - s.undoHead }
 
 // Run executes sequentially from the entry point until halt or until limit
 // instructions have executed, returning the count and whether the program
@@ -279,8 +312,7 @@ func (s *State) Run(limit uint64) (steps uint64, halted bool) {
 		steps++
 		// Sequential execution never rolls back; discard undo history but
 		// keep marks monotonic.
-		s.undoBase += uint64(len(s.undo))
-		s.undo = s.undo[:0]
+		s.dropUndo()
 		if info.Halted {
 			return steps, true
 		}
@@ -300,8 +332,7 @@ func Trace(p *program.Program, limit uint64, fn func(StepInfo) bool) (steps uint
 		info := s.StepAt(pc)
 		steps++
 		if len(s.undo) > 1<<16 {
-			s.undoBase += uint64(len(s.undo))
-			s.undo = s.undo[:0]
+			s.dropUndo()
 		}
 		if !fn(info) {
 			return steps, false

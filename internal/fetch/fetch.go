@@ -94,6 +94,33 @@ type Bundle struct {
 	EndsInSerial bool
 }
 
+// push appends one instruction to the bundle and returns it for the caller
+// to fill in its prediction. The instruction is built in the slice's next
+// slot rather than appended as a composite literal, which would assemble a
+// temporary and copy it in with write barriers. Bundles reuse their
+// backing array every cycle, so the slot may hold an earlier cycle's
+// instruction: every field is assigned here. PredTarget starts at the
+// fall-through PC; the recovery state is fs as it stands before pc.
+//
+//tc:hotpath
+func (b *Bundle) push(pc int, in isa.Inst, blockStart, inactive bool, fs *frontState) *FetchedInst {
+	n := len(b.Insts)
+	if n < cap(b.Insts) {
+		b.Insts = b.Insts[:n+1]
+	} else {
+		b.Insts = append(b.Insts, FetchedInst{})
+	}
+	fi := &b.Insts[n]
+	fi.PC, fi.Inst = pc, in
+	fi.BlockStart, fi.Inactive = blockStart, inactive
+	fi.Predicted, fi.Promoted = false, false
+	fi.UsedSlot, fi.Ctx = false, bpred.PredCtx{}
+	fi.UsedHybrid, fi.HCtx = false, bpred.HybridCtx{}
+	fi.PredTarget = pc + 1
+	fi.HistBefore, fi.RASBefore = fs.hist.Reg, fs.ras
+	return fi
+}
+
 // ActiveLen returns the number of non-inactive instructions.
 func (b *Bundle) ActiveLen() int {
 	n := 0

@@ -54,16 +54,7 @@ func (f *icacheFetcher) fetchBlock(b *Bundle, pc int, fs *frontState, predictBr 
 			line, crossed = l, true
 		}
 		in := code[pc]
-		// Construct in place: the bundle slice is the instruction's only
-		// home, so the hot loop never copies a FetchedInst by value.
-		b.Insts = append(b.Insts, FetchedInst{
-			PC: pc, Inst: in,
-			BlockStart: len(b.Insts) == 0,
-			HistBefore: fs.hist.Reg,
-			RASBefore:  fs.ras,
-			PredTarget: pc + 1,
-		})
-		fi := &b.Insts[len(b.Insts)-1]
+		fi := b.push(pc, in, len(b.Insts) == 0, false, fs)
 		stop := false
 		switch {
 		case in.IsCondBranch():

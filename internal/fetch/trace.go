@@ -144,17 +144,7 @@ func (e *TraceEngine) walkSegment(b *Bundle, seg *core.Segment) {
 		if diverged && e.cfg.DisableInactiveIssue {
 			break
 		}
-		// Construct in place: the bundle slice is the instruction's only
-		// home, so the hot loop never copies a FetchedInst by value.
-		b.Insts = append(b.Insts, FetchedInst{
-			PC: si.PC, Inst: si.Inst,
-			BlockStart: blockStart,
-			Inactive:   diverged,
-			HistBefore: e.hist.Reg,
-			RASBefore:  e.ras,
-			PredTarget: si.PC + 1,
-		})
-		fi := &b.Insts[len(b.Insts)-1]
+		fi := b.push(si.PC, si.Inst, blockStart, diverged, &e.frontState)
 		blockStart = false
 		switch {
 		case si.Inst.IsCondBranch() && !si.Promoted:

@@ -698,9 +698,8 @@ func (s *Simulator) dispatch() bool {
 	// Injected inactive instructions re-enter without consuming fetch or
 	// issue bandwidth: their original fetch already issued them.
 	for len(s.injectQueue) > 0 && s.eng.SpaceFor(1) {
-		fi := s.injectQueue[0]
+		s.dispatchInst(&s.injectQueue[0], s.injectRec)
 		s.injectQueue = s.injectQueue[1:]
-		s.dispatchInst(fi, s.injectRec)
 	}
 	if len(s.injectQueue) > 0 {
 		return false
@@ -716,7 +715,7 @@ func (s *Simulator) dispatch() bool {
 		if s.pendingPos >= len(s.pending) {
 			break
 		}
-		fi := s.pending[s.pendingPos]
+		fi := &s.pending[s.pendingPos]
 		if fi.Inactive {
 			s.pendingPos++
 			continue
@@ -745,7 +744,7 @@ func (s *Simulator) dispatch() bool {
 }
 
 //tc:hotpath
-func (s *Simulator) dispatchInst(fi fetch.FetchedInst, recID int) {
+func (s *Simulator) dispatchInst(fi *fetch.FetchedInst, recID int) {
 	info := s.state.StepAt(fi.PC)
 	snap := s.state.Checkpoint()
 	// Rename: collect producing sequence numbers.
@@ -759,19 +758,24 @@ func (s *Simulator) dispatchInst(fi fetch.FetchedInst, recID int) {
 	seq := s.eng.Dispatch(s.seqBuf, fi.Inst.IsLoad(), fi.Inst.IsStore(), info.MemAddr, fi.Inst.Latency())
 	d := &s.window[seq&s.mask]
 	rec := s.rec(recID)
-	align := rec.tcMiss && rec.dispatched == 0
-	*d = dyn{
-		seq:        seq,
-		fi:         fi,
-		fetchID:    recID,
-		fetchCycle: rec.cycle,
-		taken:      info.Taken,
-		nextPC:     info.NextPC,
-		memAddr:    info.MemAddr,
-		halted:     info.Halted,
-		snapshot:   snap,
-		alignFill:  align,
-	}
+	// Build the entry in its window slot, one field at a time: a composite
+	// literal would assemble the whole dyn on the stack and then copy it
+	// into the slot with write barriers. Every field is assigned here, so
+	// nothing survives from the slot's previous occupant.
+	d.seq = seq
+	d.fi = *fi
+	d.fetchID = recID
+	d.fetchCycle = rec.cycle
+	d.taken = info.Taken
+	d.nextPC = info.NextPC
+	d.memAddr = info.MemAddr
+	d.halted = info.Halted
+	d.snapshot = snap
+	d.memVal, d.destVal = 0, 0
+	d.destReg, d.hasDest, d.prevProducer = 0, false, 0
+	d.alignFill = rec.tcMiss && rec.dispatched == 0
+	d.mispredicted, d.resolution = false, 0
+	d.inactiveSuffix = nil
 	if rd, ok := fi.Inst.WritesReg(); ok {
 		d.hasDest, d.destReg = true, rd
 		d.prevProducer = s.renameMap[rd]

@@ -94,6 +94,16 @@ cat > BENCH_perf.json <<EOF
       "head_ns_per_op_min": 232101544,
       "pre_pr_allocs_per_op": 104086,
       "head_allocs_per_op": 67633
+    },
+    "alternating_check_2026_10_18": {
+      "note": "frozen cross-check from the hot-loop copy-elimination change (amortized undo-log release, window/engine/bundle entries built in place): head vs the tree immediately before it on 2 CPUs (go1.24.0), alternating prebuilt test binaries, 9 rounds of -benchtime 5x each (4 in one sitting, 5 in a later, busier one; the busier set alone reads 503974032 vs 282961083), min-of-rounds. Bytes/op rise 0.3% because the undo log may hold up to twice its live records before it shifts.",
+      "pre_pr_ns_per_op_min": 357696423,
+      "head_ns_per_op_min": 231508827,
+      "speedup_x": 1.55,
+      "pre_pr_bytes_per_op": 28820704,
+      "head_bytes_per_op": 28903788,
+      "pre_pr_allocs_per_op": 67637,
+      "head_allocs_per_op": 67641
     }
   },
   "self_check": {

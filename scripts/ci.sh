@@ -4,7 +4,8 @@
 # parallel sweep engine, a repeated tcserve shutdown test, a repeated
 # resultstore concurrent-writer race test, a fast-forward
 # smoke+accuracy step, a tcserve sweep-service smoke (restart +
-# store-served resubmission), and a benchmark smoke step so the perf
+# store-served resubmission), a check that the paper-suite stdout still
+# hashes to the committed reference, and a benchmark smoke step so the perf
 # harness stays runnable.
 set -eu
 cd "$(dirname "$0")/.."
@@ -90,6 +91,14 @@ grep -q '"total"' /tmp/tcbench-ci-progress.json || {
 /tmp/tcbench-ci -exp all -warmup 2000 -insts 8000 -j 1 >/tmp/tcbench-ci-bare.out 2>/dev/null
 cmp /tmp/tcbench-ci-monitored.out /tmp/tcbench-ci-bare.out || {
 	echo "FAIL: monitored stdout differs from bare run"; exit 1; }
+
+echo "== paper-suite stdout identity (tcbench -exp all must hash to perfbench/reference.json stdoutSha256) =="
+# The simulated results are fixed points: a hot-loop change that alters any
+# printed figure fails here. The reference digest is read, never rewritten.
+WANT_SHA=$(sed -n 's|.*"stdoutSha256": *"\([0-9a-f]*\)".*|\1|p' perfbench/reference.json)
+GOT_SHA=$(/tmp/tcbench-ci -exp all -warmup 5000 -insts 10000 -j 2 | sha256sum | cut -d' ' -f1)
+[ -n "$WANT_SHA" ] && [ "$GOT_SHA" = "$WANT_SHA" ] || {
+	echo "FAIL: tcbench -exp all stdout sha256 $GOT_SHA, want $WANT_SHA"; exit 1; }
 
 echo "== replay smoke (record -> replay -> verify within fidelity bounds) =="
 rm -rf /tmp/tcsim-ci-traces && mkdir -p /tmp/tcsim-ci-traces
@@ -188,5 +197,6 @@ cmp /tmp/tcserve-ci-results1.json /tmp/tcserve-ci-results2.json || {
 
 echo "== benchmark smoke =="
 go test -run xxx -bench=SimulatorThroughput -benchtime=1x -benchmem .
+go test -run xxx -bench=StepRelease -benchtime=1x -benchmem ./internal/exec/
 
 echo "CI OK"
